@@ -27,33 +27,10 @@ from repro.workload import (
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Machine-readable summary of the PR-3 execution-model benches
-#: (vectorized batch path vs the row interpreter). Sections are written
-#: read-modify-write so the microbenchmark and the server bench can each
-#: contribute independently of run order.
-BENCH_PR3_PATH = Path(__file__).parent.parent / "BENCH_pr3.json"
-
-#: PR-5 summary (parallel split execution + plan cache). Unlike the
-#: per-PR files before it, every bench that goes through
-#: :func:`save_result` contributes its section here automatically, so
-#: the roll-up is complete no matter which subset of benches ran.
-BENCH_PR5_PATH = Path(__file__).parent.parent / "BENCH_pr5.json"
-
-#: PR-6 summary (semantic result cache + unified cache byte budget).
-BENCH_PR6_PATH = Path(__file__).parent.parent / "BENCH_pr6.json"
-
-#: PR-7 summary (deadlines, cooperative cancellation, overload
-#: protection).
-BENCH_PR7_PATH = Path(__file__).parent.parent / "BENCH_pr7.json"
-
-#: PR-8 summary (process-pool morsel backend + shared-memory batch
-#: transport).
-BENCH_PR8_PATH = Path(__file__).parent.parent / "BENCH_pr8.json"
-
-#: PR-10 summary (multi-process cluster: consistent-hash router +
-#: coordinator metadata cache). The current roll-up target of
-#: :func:`save_result`.
-BENCH_PR10_PATH = Path(__file__).parent.parent / "BENCH_pr10.json"
+#: The bench roll-up: every series saved through :func:`save_result` is
+#: merged here as one section. The older ``BENCH_pr*.json`` files at the
+#: repo root are a frozen history and are never rewritten.
+ROLLUP_PATH = Path(__file__).parent.parent / "BENCH_rollup.json"
 
 #: Scale knobs: the paper uses 20M rows/table on 22 nodes; the simulator
 #: uses this many rows per Table II table (split over 3 daily files).
@@ -62,51 +39,25 @@ ROW_GROUP_SIZE = 100
 METRIC_THRESHOLD = 9000  # Q2/Q9 predicate selectivity (~top decile)
 
 
-def _merge_bench(path: Path, section: str, payload: dict) -> Path:
-    """Read-modify-write one section of a roll-up JSON file, so benches
-    contribute independently of run order (and of which subset ran)."""
-    data: dict = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def save_result(name: str, payload: dict) -> Path:
     """Persist one bench's series for EXPERIMENTS.md.
 
-    Every series is also merged into ``BENCH_pr10.json`` at the repo
-    root (and into ``BENCH_pr7.json`` / ``BENCH_pr8.json``, which older
-    CI jobs still read) — previously each PR's roll-up had to be fed by
-    hand-picked benches, which silently dropped any bench that forgot
-    to call the per-PR saver.
+    Writes ``benchmarks/results/<name>.json`` and merges the series into
+    the roll-up as section ``name`` (read-modify-write, so benches
+    contribute independently of run order and of which subset ran).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    _merge_bench(BENCH_PR7_PATH, name, payload)
-    _merge_bench(BENCH_PR8_PATH, name, payload)
-    _merge_bench(BENCH_PR10_PATH, name, payload)
+    rollup: dict = {}
+    if ROLLUP_PATH.exists():
+        try:
+            rollup = json.loads(ROLLUP_PATH.read_text())
+        except json.JSONDecodeError:
+            rollup = {}
+    rollup[name] = payload
+    ROLLUP_PATH.write_text(json.dumps(rollup, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def save_bench_pr3(section: str, payload: dict) -> Path:
-    """Merge one section into the BENCH_pr3.json summary at the repo root."""
-    return _merge_bench(BENCH_PR3_PATH, section, payload)
-
-
-def save_bench_pr5(section: str, payload: dict) -> Path:
-    """Merge one section into the BENCH_pr5.json summary at the repo root."""
-    return _merge_bench(BENCH_PR5_PATH, section, payload)
-
-
-def save_bench_pr8(section: str, payload: dict) -> Path:
-    """Merge one section into the BENCH_pr8.json summary at the repo root."""
-    return _merge_bench(BENCH_PR8_PATH, section, payload)
 
 
 class BenchEnv:

@@ -1,13 +1,13 @@
-"""Duplicate-path microbenchmark: parse-once sharing vs re-parsing.
+"""Duplicate-path microbenchmark: parse-once sharing.
 
 The paper's §II pathology in its purest form: one query extracts five
 *distinct* JSONPaths from the same string column, with no cache built.
-The row interpreter parses every document once per extraction (five
-parses per row); the vectorized batch path shares one parsed document
-per row across all five extractions. This bench pins the acceptance
-criteria for the batch engine — exactly one parse per row and at least
-a 2x end-to-end speedup on this workload — and records the series in
-``BENCH_pr3.json``.
+Evaluating each extraction on its own would parse every document five
+times; the vectorized engine shares one parsed document per row across
+all five extractions. This bench pins that property — exactly one parse
+per row, the other four extractions served from the shared document —
+and records the timing series in ``benchmarks/results`` and the bench
+roll-up.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.engine import Session
 from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 
-from .conftest import once, save_bench_pr3, save_result
+from .conftest import once, save_result
 
 N_ROWS = 2000
 PATHS = ("$.item_id", "$.item_name", "$.sale_count", "$.turnover", "$.price")
@@ -55,36 +55,22 @@ def build_session() -> Session:
     return session
 
 
-def measure(session: Session, mode: str) -> tuple[float, int, list]:
-    """Best-of-N wall seconds, parse count and rows for one mode."""
-    best = float("inf")
-    parses = 0
-    rows: list = []
-    for _ in range(REPEATS):
-        result = session.sql(SQL, execution_mode=mode)
-        best = min(best, result.metrics.total_seconds)
-        parses = result.metrics.parse_documents
-        rows = result.rows
-    return best, parses, rows
-
-
 def test_duplicate_path_microbench(benchmark):
     session = build_session()
 
     def run():
-        row_seconds, row_parses, row_rows = measure(session, "row")
-        batch_seconds, batch_parses, batch_rows = measure(session, "batch")
-        assert batch_rows == row_rows
+        best = float("inf")
+        for _ in range(REPEATS):
+            result = session.sql(SQL)
+            best = min(best, result.metrics.total_seconds)
+        assert len(result.rows) == N_ROWS
         return {
             "rows": N_ROWS,
             "paths": len(PATHS),
-            "row_seconds": row_seconds,
-            "row_parse_documents": row_parses,
-            "row_qps": 1.0 / row_seconds,
-            "batch_seconds": batch_seconds,
-            "batch_parse_documents": batch_parses,
-            "batch_qps": 1.0 / batch_seconds,
-            "speedup_vs_row": row_seconds / batch_seconds,
+            "batch_seconds": best,
+            "batch_parse_documents": result.metrics.parse_documents,
+            "batch_shared_parse_hits": result.metrics.shared_parse_hits,
+            "batch_qps": 1.0 / best,
         }
 
     payload = once(benchmark, run)
@@ -94,10 +80,8 @@ def test_duplicate_path_microbench(benchmark):
         "even before any cache is built"
     )
     save_result("duplicate_paths", payload)
-    save_bench_pr3("duplicate_path_microbench", payload)
 
-    # Acceptance: exactly one parse per row on the batch path, the full
-    # five per row on the row path, and >= 2x end-to-end speedup.
+    # Acceptance: exactly one parse per row; every other extraction of
+    # the row is served from the shared document.
     assert payload["batch_parse_documents"] == N_ROWS
-    assert payload["row_parse_documents"] == N_ROWS * len(PATHS)
-    assert payload["speedup_vs_row"] >= 2.0
+    assert payload["batch_shared_parse_hits"] == N_ROWS * (len(PATHS) - 1)

@@ -10,9 +10,9 @@ operator objects PR 3 shipped. This bench pins that contract three ways:
 2. by measurement — two interleaved best-of-N runs of the same untraced
    workload agree within the 3% budget the acceptance criterion allows
    (the untraced path *is* the baseline, so any gap is pure noise);
-3. by regression — the PR 3 acceptance numbers still hold with the obs
-   code present: one parse per row on the batch path and a >= 2x
-   end-to-end speedup over the row interpreter.
+3. by regression — the parse-once property still holds with the obs
+   code present: exactly one parse per row, with the other extractions
+   served from the shared document.
 
 It also measures (and records, without gating) what tracing costs when
 it is *on*.
@@ -216,30 +216,19 @@ def test_system_tables_overhead(benchmark, backend):
         server.shutdown()
 
 
-def test_pr3_speedup_retained_with_obs_present():
-    """Batch still parses once per row and beats the row path >= 2x."""
+def test_parse_once_retained_with_obs_present():
+    """Five extractions per row still cost exactly one parse per row."""
     session = build_session()
-
-    def run(mode):
-        best = float("inf")
-        documents = 0
-        for _ in range(3):
-            started = time.perf_counter()
-            result = session.sql(SQL, execution_mode=mode)
-            best = min(best, time.perf_counter() - started)
-            documents = result.metrics.parse_documents
-        return best, documents
-
-    batch_seconds, batch_documents = run("batch")
-    row_seconds, row_documents = run("row")
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        result = session.sql(SQL)
+        best = min(best, time.perf_counter() - started)
     payload = {
-        "batch_seconds": batch_seconds,
-        "row_seconds": row_seconds,
-        "speedup_vs_row": row_seconds / batch_seconds,
-        "batch_parse_documents": batch_documents,
-        "row_parse_documents": row_documents,
+        "batch_seconds": best,
+        "batch_parse_documents": result.metrics.parse_documents,
+        "shared_parse_hits": result.metrics.shared_parse_hits,
     }
     save_result("obs_pr3_regression", payload)
-    assert batch_documents == N_ROWS
-    assert row_documents == N_ROWS * len(PATHS)
-    assert payload["speedup_vs_row"] >= 2.0, payload
+    assert payload["batch_parse_documents"] == N_ROWS, payload
+    assert payload["shared_parse_hits"] == N_ROWS * (len(PATHS) - 1), payload

@@ -13,7 +13,7 @@ CI chaos job — are:
 * **p99 of completed queries ≤ deadline + slack**: the deadline actually
   bounds served latency instead of merely annotating it.
 
-The series rolls into ``BENCH_pr7.json``.
+The series rolls into the bench roll-up (``BENCH_rollup.json``).
 """
 
 from __future__ import annotations

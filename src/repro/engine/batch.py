@@ -1,18 +1,17 @@
 """Vectorized (batch) execution: column batches and compiled expressions.
 
-The row interpreter (:mod:`repro.engine.expressions` +
-:mod:`repro.engine.physical`) walks the expression tree once per row —
-which re-parses the same JSON document once per ``get_json_object`` node
-per row, exactly the duplicate-parsing pathology Maxson exists to remove.
-The batch path fixes the shape of the loop:
+Evaluating an expression tree once per row would re-parse the same JSON
+document once per ``get_json_object`` node per row — exactly the
+duplicate-parsing pathology Maxson exists to remove. The engine's one
+execution path fixes the shape of the loop:
 
 * Operators exchange :class:`ColumnBatch` — parallel value lists keyed by
-  column name — instead of lists of per-row dicts.
+  column name — instead of per-row dicts.
 * :class:`BatchCompiler` lowers each :class:`~repro.engine.expressions.
   Expression` to a closure over whole columns (a
   :class:`CompiledExpression`). Scalar semantics come from the *same*
-  kernel functions the row interpreter calls (``_apply_arith`` etc.), so
-  the two paths cannot drift apart.
+  kernel functions ``Expression.evaluate`` calls (``_apply_arith`` etc.),
+  so vectorized and scalar evaluation cannot drift apart.
 * Extraction calls route through the context's vectorized
   ``get_json_objects`` / ``get_xml_objects``, which share one parsed
   document per distinct text via :class:`~repro.jsonlib.doccache.
@@ -25,10 +24,9 @@ The batch path fixes the shape of the loop:
   into ``QueryMetrics.duplicate_extractions_eliminated``.
 
 The fallback contract: anything the compiler does not know how to
-vectorize lowers to a closure that runs the row interpreter over
-``batch.rows()``. Batch mode is therefore never less *capable* than row
-mode — only faster where vectorized — and every query can still be
-forced down the pure row path via ``Session(execution_mode="row")``.
+vectorize lowers to a closure that runs the expression's scalar
+``evaluate`` kernel over ``batch.rows()``. Every expression therefore
+compiles — vectorized where that pays, scalar per row elsewhere.
 """
 
 from __future__ import annotations
@@ -116,7 +114,7 @@ class ColumnBatch:
     ``names`` preserves column order (and may alias the same underlying
     list under two names — scans expose ``col`` and ``alias.col`` without
     copying). ``rows()`` materialises per-row dict views lazily for the
-    row-interpreter fallback and is cached: repeated fallbacks on the
+    scalar-kernel fallback and is cached: repeated fallbacks on the
     same batch pay the conversion once.
     """
 
@@ -134,11 +132,10 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, rows: list[dict], names=None) -> "ColumnBatch":
-        """Build a batch from row dicts (the row-path bridge).
+        """Build a batch from row dicts (e.g. aggregate output rows).
 
         ``names`` must be given when ``rows`` may be empty, otherwise the
-        column set would be lost and downstream lookups would diverge
-        from row-path behaviour.
+        column set would be lost and downstream column lookups would fail.
         """
         if names is None:
             names = tuple(rows[0]) if rows else ()
@@ -159,7 +156,7 @@ class ColumnBatch:
             ) from None
 
     def rows(self) -> list[dict]:
-        """Cached per-row dict views (for the row-interpreter fallback)."""
+        """Cached per-row dict views (for the scalar-kernel fallback)."""
         if self._rows is None:
             names = self.names
             if not names:
@@ -384,7 +381,7 @@ class BatchCompiler:
                      right: CompiledExpression):
         """AND/OR with batch-level short-circuiting.
 
-        The row interpreter never evaluates the right operand on rows the
+        Scalar ``evaluate`` never computes the right operand on rows the
         left operand decides (False for AND, True for OR). The batch form
         preserves that: the right side is evaluated only on the sub-batch
         of undecided rows, so errors and parse costs it would have

@@ -429,9 +429,9 @@ def _coerce_pair(left: object, right: object) -> tuple | None:
         return None
 
 
-# Scalar kernels shared verbatim by the row interpreter and the batch
+# Scalar kernels shared verbatim by ``Expression.evaluate`` and the batch
 # compiler (:mod:`repro.engine.batch`): one implementation per operator
-# means the two execution paths cannot drift apart semantically.
+# means vectorized and scalar evaluation cannot drift apart semantically.
 def _combine_and(left: object, right: object) -> object:
     """Three-valued AND given a non-False left and an evaluated right."""
     if left is None or right is None:

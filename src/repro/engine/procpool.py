@@ -427,15 +427,12 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
     scan = plan.pipeline.scan if hasattr(plan, "pipeline") else plan.scan
     failures: list = []
     scan.failure_log = failures
-    mode = task["mode"]
     started = time.perf_counter()
     if isinstance(plan, MorselAggregateExec):
         aggregates = collect_aggregates(plan.output)
-        payload, fallback = plan._partials(
-            worker, task["unit"], mode, aggregates
-        )
+        payload, fallback = plan._partials(worker, task["unit"], aggregates)
     else:
-        payload, fallback = plan._process(worker, task["unit"], mode)
+        payload, fallback = plan._process_batch(worker, task["unit"])
     _fold_context_stats(worker.metrics, worker.context)
     seconds = time.perf_counter() - started
     tree = None
@@ -460,14 +457,8 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         reply["partials"] = payload
         reply["trace"] = tree
         return reply
-    data, prefilter_counts = payload
-    if mode == "batch":
-        reply["kind"] = "batch"
-        batch = data
-    else:
-        reply["kind"] = "rows"
-        names = list(data[0].keys()) if data else []
-        batch = ColumnBatch.from_rows(data, names)
+    batch, prefilter_counts = payload
+    reply["kind"] = "batch"
     frame = encode_batch(batch, trace=tree)
     segment = _create_segment(task["shm_prefix"], len(frame))
     try:
@@ -687,7 +678,7 @@ class ProcessMorselPool:
             self._live_segments.pop(name, None)
 
     # -- execution ------------------------------------------------------
-    def run_morsels(self, state, plan, mode: str, units: list) -> list:
+    def run_morsels(self, state, plan, units: list) -> list:
         """Execute every unit in worker processes; results in unit order.
 
         Returns the same ``(payload, fallback, metrics, seconds)``
@@ -714,7 +705,7 @@ class ProcessMorselPool:
         try:
             futures = [
                 self._dispatch.submit(
-                    self._run_unit, plan_blob, mode, unit, slot, token, traced
+                    self._run_unit, plan_blob, unit, slot, token, traced
                 )
                 for unit in units
             ]
@@ -780,7 +771,7 @@ class ProcessMorselPool:
             raise first_error
         return results
 
-    def _run_unit(self, plan_blob, mode, unit, slot, token, traced=False):
+    def _run_unit(self, plan_blob, unit, slot, token, traced=False):
         dispatched = time.perf_counter()
         index = self._free.get()
         # Capture the snapshot (version, blob) pair atomically: a
@@ -811,7 +802,6 @@ class ProcessMorselPool:
                         "task",
                         {
                             "plan": plan_blob,
-                            "mode": mode,
                             "unit": unit,
                             "slot": slot,
                             "remaining": remaining,
@@ -931,10 +921,7 @@ class ProcessMorselPool:
         if isinstance(tree, dict):
             extra["span_tree"] = tree
         extra["shm_bytes"] = extra.get("shm_bytes", 0) + nbytes
-        if reply["kind"] == "rows":
-            payload = (batch.to_rows(), reply["prefilter"])
-        else:
-            payload = (batch, reply["prefilter"])
+        payload = (batch, reply["prefilter"])
         return payload, fallback, metrics, seconds, failures
 
 

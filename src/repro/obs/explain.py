@@ -81,12 +81,7 @@ def _render_span(span: Span, depth: int, lines: list[str]) -> None:
         _render_span(child, depth + 1, lines)
 
 
-def render_explain_analyze(
-    root: Span,
-    metrics=None,
-    mode: str = "",
-    sql: str = "",
-) -> str:
+def render_explain_analyze(root: Span, metrics=None, sql: str = "") -> str:
     """Render a query trace as an ``EXPLAIN ANALYZE`` report.
 
     ``root`` is the ``query`` span (as produced by
@@ -94,11 +89,7 @@ def render_explain_analyze(
     ``metrics`` (a :class:`~repro.engine.metrics.QueryMetrics`) adds the
     query-level read/parse/compute footer the paper's evaluation plots.
     """
-    lines: list[str] = []
-    header = "EXPLAIN ANALYZE"
-    if mode:
-        header += f" (mode={mode})"
-    lines.append(header)
+    lines: list[str] = ["EXPLAIN ANALYZE"]
     if sql:
         lines.append(f"query: {sql.strip()}")
     if root is not None and root.name == "query":

@@ -3,11 +3,11 @@
 ``instrument_plan`` rewrites a compiled physical plan so every operator
 node is wrapped in a :class:`TracedExec` that records a span (wall time
 plus *inclusive* counter deltas — read/parse seconds, bytes, documents,
-cache hits, row groups) around the node's execution on **both** the row
-and the batch path. Because instrumentation is a plan rewrite performed
-only when a query carries a tracer, the untraced path executes the
-original operator objects with zero added branches — the "near-zero
-overhead when disabled" contract is structural, not measured.
+cache hits, row groups) around the node's ``execute_batch``. Because
+instrumentation is a plan rewrite performed only when a query carries a
+tracer, the untraced path executes the original operator objects with
+zero added branches — the "near-zero overhead when disabled" contract is
+structural, not measured.
 
 Counter deltas are taken against a combined snapshot of the execution's
 :class:`~repro.engine.metrics.QueryMetrics` and the live parser stats of
@@ -108,8 +108,8 @@ class TracedExec(PhysicalPlan):
 
     Delegates plan-shape queries (children, labels, output names) to the
     wrapped node so ``describe`` output and downstream plan inspection
-    are unchanged; only ``execute``/``execute_batch`` differ, recording a
-    span around the inner call. Child operators are wrapped too (the
+    are unchanged; only ``execute_batch`` differs, recording a span
+    around the inner call. Child operators are wrapped too (the
     rewrite is bottom-up), so the inner node's own child calls produce
     correctly nested child spans.
     """
@@ -132,11 +132,11 @@ class TracedExec(PhysicalPlan):
         return self.inner._label()
 
     # -- traced execution ----------------------------------------------
-    def _run(self, state: ExecState, method: str):
+    def execute_batch(self, state: ExecState):
         span = self.tracer.begin(stage_of(self.inner), label=self.inner._label())
         before = counter_snapshot(state)
         try:
-            result = getattr(self.inner, method)(state)
+            result = self.inner.execute_batch(state)
         except Exception as exc:
             span.attributes["error"] = f"{type(exc).__name__}: {exc}"
             raise
@@ -147,16 +147,8 @@ class TracedExec(PhysicalPlan):
                 if delta:
                     span.attributes[key] = delta
             self.tracer.end(span)
-        span.attributes["rows_out"] = (
-            len(result) if isinstance(result, list) else result.length
-        )
+        span.attributes["rows_out"] = result.length
         return result
-
-    def execute(self, state: ExecState) -> list[dict]:
-        return self._run(state, "execute")
-
-    def execute_batch(self, state: ExecState):
-        return self._run(state, "execute_batch")
 
 
 def instrument_plan(plan: PhysicalPlan, tracer: Tracer) -> PhysicalPlan:

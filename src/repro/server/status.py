@@ -86,7 +86,6 @@ class ServerStatus:
     query_retries: int = 0
     build_failures: int = 0
     recovery_actions: int = 0
-    execution_mode: str = "batch"
     worker_backend: str = "thread"
     duplicate_extractions_eliminated: int = 0
     shared_parse_hits: int = 0
@@ -152,8 +151,7 @@ class ServerStatus:
             f"{self.query_retries} retries, "
             f"{self.build_failures} failed builds, "
             f"{self.recovery_actions} recoveries",
-            f"  execution:     mode={self.execution_mode}, "
-            f"backend={self.worker_backend}, "
+            f"  execution:     backend={self.worker_backend}, "
             f"{self.duplicate_extractions_eliminated} duplicate extractions "
             f"eliminated, {self.shared_parse_hits} shared parses",
         ]

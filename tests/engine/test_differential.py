@@ -1,20 +1,25 @@
-"""Differential tests: the batch path must be row-identical, always.
+"""Differential tests: the batch engine must answer like the reference.
 
-Every query family the engine supports runs through both execution
-paths — the vectorized batch compiler and the per-row interpreter — and
-must produce exactly the same rows in the same order. The same property
-is then asserted on the Maxson-modified plan (Value Combiner stitching
-cached columns) and under PR-2 fault profiles, where batch-mode scans
-must still fall back split-by-split and degrade rather than diverge.
+Every query family the engine supports runs through the engine and
+through :func:`reference.reference_rows` — a small row-at-a-time
+interpreter of the planner's plan that shares no execution code with the
+engine — and must produce exactly the same rows in the same order. The
+same property is then asserted on the Maxson-modified plan (Value
+Combiner stitching cached columns) and under fault profiles, where scans
+must fall back split by split and degrade rather than diverge; there the
+reference must also agree with the plain engine (``baseline_sql``).
 """
 
 import pytest
+from reference import reference_rows
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
+from repro.engine.parallel import parallelize_plan
+from repro.engine.physical import ScanExec
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, Schema
+from repro.storage import BlockFileSystem, ComparisonSarg, DataType, Schema, SargOp
 from repro.workload import PathKey
 
 #: The parity matrix: one query per engine feature family.
@@ -59,11 +64,11 @@ QUERIES = [
 
 
 class TestRowBatchParity:
+    """The batch engine against the row-at-a-time reference."""
+
     @pytest.mark.parametrize("sql", QUERIES)
     def test_batch_rows_identical_to_row_interpreter(self, sales_session, sql):
-        batch = sales_session.sql(sql, execution_mode="batch")
-        row = sales_session.sql(sql, execution_mode="row")
-        assert batch.rows == row.rows
+        assert sales_session.sql(sql).rows == reference_rows(sales_session, sql)
 
     def test_join_and_null_keys_parity(self, session):
         schema = Schema.of(("k", DataType.INT64), ("v", DataType.STRING))
@@ -75,10 +80,43 @@ class TestRowBatchParity:
             "select a.v, b.v from db.n1 a join db.n2 b on a.k = b.k "
             "order by a.v"
         )
-        assert (
-            session.sql(sql, execution_mode="batch").rows
-            == session.sql(sql, execution_mode="row").rows
-        )
+        rows = session.sql(sql).rows
+        assert rows == reference_rows(session, sql)
+        assert len(rows) == 1  # only k = 1 joins; NULL keys never match
+
+
+def _compile_with(session, monkeypatch, rewrite):
+    """Make ``session.compile`` hand out plans passed through ``rewrite``."""
+    compile_sql = session.compile
+
+    def compile_rewritten(sql):
+        planned = compile_sql(sql)
+        planned.physical = rewrite(planned.physical)
+        return planned
+
+    monkeypatch.setattr(session, "compile", compile_rewritten)
+
+
+class TestReferenceEvaluator:
+    def test_rejects_nodes_it_does_not_know(self, sales_session, monkeypatch):
+        _compile_with(sales_session, monkeypatch, parallelize_plan)
+        with pytest.raises(TypeError, match="MorselPipelineExec"):
+            reference_rows(sales_session, "select date from mydb.T")
+
+    def test_scans_ignore_sargs(self, sales_session, monkeypatch):
+        sql = "select date from mydb.T where date = '20190101'"
+
+        def prune_everything(plan):
+            scan = plan
+            while not isinstance(scan, ScanExec):
+                (scan,) = scan.children()
+            # A wrong SARG: no row group can hold date = '29990101'.
+            scan.sarg = ComparisonSarg("date", SargOp.EQ, "29990101")
+            return plan
+
+        _compile_with(sales_session, monkeypatch, prune_everything)
+        assert sales_session.sql(sql).rows == []  # the engine trusts it
+        assert len(reference_rows(sales_session, sql)) == 40
 
 
 def build_cached_system(fs=None) -> tuple[MaxsonSystem, list[str]]:
@@ -117,34 +155,25 @@ def build_cached_system(fs=None) -> tuple[MaxsonSystem, list[str]]:
     return system, queries
 
 
-def run_both_modes(system: MaxsonSystem, sql: str):
-    system.session.execution_mode = "batch"
-    batch = system.sql(sql)
-    system.session.execution_mode = "row"
-    row = system.sql(sql)
-    system.session.execution_mode = "batch"
-    return batch, row
-
-
 class TestMaxsonParity:
     def test_value_combiner_identical_across_paths(self):
         system, queries = build_cached_system()
         for sql in queries:
             baseline = system.baseline_sql(sql)
-            batch, row = run_both_modes(system, sql)
-            assert batch.rows == row.rows == baseline.rows, sql
-            assert batch.metrics.cache_hits > 0
+            cached = system.sql(sql)
+            reference = reference_rows(system.session, sql)
+            assert cached.rows == reference == baseline.rows, sql
+            assert cached.metrics.cache_hits > 0
 
     def test_batch_cached_query_parses_nothing(self):
         system, queries = build_cached_system()
-        system.session.execution_mode = "batch"
         result = system.sql(queries[0])
         assert result.metrics.parse_documents == 0
         assert result.metrics.cache_hits > 0
 
 
 class TestFaultDifferential:
-    """Batch scans under PR-2 fault profiles: degraded, never divergent."""
+    """Cached scans under fault profiles: degraded, never divergent."""
 
     def test_corrupt_cache_falls_back_per_split_in_batch_mode(self):
         faulty = FaultyFileSystem()
@@ -153,8 +182,8 @@ class TestFaultDifferential:
         # Every cache read corrupt from here on; raw files stay intact.
         faulty.policy = FaultPolicy(corrupt_rate=1.0, seed=3)
         for sql, expected in zip(queries, baselines):
-            batch, row = run_both_modes(system, sql)
-            assert batch.rows == row.rows == expected, sql
+            reference = reference_rows(system.session, sql)
+            assert system.sql(sql).rows == reference == expected, sql
         assert system.resilience.snapshot()["fallback_splits"] > 0
         assert system.resilience.snapshot()["corruption_events"] > 0
 
@@ -168,5 +197,5 @@ class TestFaultDifferential:
             read_error_rate=0.5, seed=11, error_path_prefix=CACHE_PATH_PREFIX
         )
         for sql, expected in zip(queries, baselines):
-            batch, row = run_both_modes(system, sql)
-            assert batch.rows == row.rows == expected, sql
+            reference = reference_rows(system.session, sql)
+            assert system.sql(sql).rows == reference == expected, sql

@@ -226,15 +226,15 @@ class TestMetrics:
     )
 
     def test_parse_dominates_json_queries(self, sales_session):
-        result = sales_session.sql(self.THREE_PATH_QUERY, execution_mode="row")
+        result = sales_session.sql(self.THREE_PATH_QUERY)
         # the paper's headline (>= ~80%) is asserted at realistic scale in
         # benchmarks/test_fig3_parse_cost.py; at this tiny table size just
         # require that parsing is a major component and counted exactly.
         assert result.metrics.parse_fraction > 0.3
-        assert result.metrics.parse_documents == 600  # 3 calls x 200 rows
+        assert result.metrics.parse_documents == 200  # one parse per row
 
     def test_batch_path_shares_parses_across_expressions(self, sales_session):
-        result = sales_session.sql(self.THREE_PATH_QUERY, execution_mode="batch")
+        result = sales_session.sql(self.THREE_PATH_QUERY)
         # Parse-once sharing: 200 documents parsed once each; the other
         # two extraction calls per row are served from the shared cache
         # and must NOT be re-charged to the parser stats.

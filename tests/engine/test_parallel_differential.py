@@ -3,13 +3,15 @@
 ``scan_workers=1`` runs the exact morsel code inline, so a 4-worker run
 differs only in which thread executes each split. These tests assert
 the strong form of that claim: identical rows (including order) and
-identical count-valued metrics for every query family, on both
-execution modes, with the Value Combiner stitching cached columns, and
-under deterministic fault injection (where per-split fallback decisions
-must stay split-local regardless of which worker hits them).
+identical count-valued metrics for every query family, with the Value
+Combiner stitching cached columns, and under deterministic fault
+injection (where per-split fallback decisions must stay split-local
+regardless of which worker hits them). Both sides must also equal the
+row-at-a-time reference evaluator's answer.
 """
 
 import pytest
+from reference import reference_rows
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
@@ -74,14 +76,14 @@ def assert_metric_parity(serial, parallel, sql):
 class TestSerialParallelParity:
     """Same session, same query, 1 vs 4 workers: rows and counters."""
 
-    @pytest.mark.parametrize("mode", ["batch", "row"])
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_rows_and_metrics_identical(self, sales_session, sql, mode):
+    def test_rows_and_metrics_identical(self, sales_session, sql):
         sales_session.scan_workers = 1
-        serial = sales_session.sql(sql, execution_mode=mode)
+        serial = sales_session.sql(sql)
         sales_session.scan_workers = 4
-        parallel = sales_session.sql(sql, execution_mode=mode)
+        parallel = sales_session.sql(sql)
         assert serial.rows == parallel.rows  # including order
+        assert serial.rows == reference_rows(sales_session, sql)
         assert_metric_parity(serial, parallel, sql)
 
 
@@ -159,6 +161,7 @@ class TestMaxsonParallelParity:
             system.session.scan_workers = 4
             parallel = system.sql(sql)
             assert serial.rows == parallel.rows, sql
+            assert serial.rows == reference_rows(system.session, sql), sql
             assert_metric_parity(serial, parallel, sql)
             assert parallel.metrics.cache_hits > 0
 
@@ -196,6 +199,9 @@ class TestFaultParallelParity:
         assert (
             serial.resilience.snapshot() == parallel.resilience.snapshot()
         )
+        assert serial_rows == [
+            reference_rows(serial.session, sql) for sql in MAXSON_QUERIES
+        ]
         return serial
 
     def test_all_cache_reads_corrupt(self):

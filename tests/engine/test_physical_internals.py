@@ -10,6 +10,7 @@ from repro.engine import (
     Literal,
     SortKey,
 )
+from repro.engine.batch import ColumnBatch
 from repro.engine.physical import (
     ExecState,
     LimitExec,
@@ -27,8 +28,8 @@ class _Rows(PhysicalPlan):
     def __init__(self, rows):
         self.rows = rows
 
-    def execute(self, state):
-        return list(self.rows)
+    def execute_batch(self, state):
+        return ColumnBatch.from_rows(self.rows)
 
     def output_names(self):
         return set(self.rows[0]) if self.rows else set()
@@ -67,7 +68,7 @@ class TestSortExec:
             _Rows(rows),
             [SortKey(Column("a")), SortKey(Column("b"), ascending=False)],
         )
-        out = sort.execute(_state())
+        out = sort.execute_batch(_state()).to_rows()
         assert out == [
             {"a": 1, "b": "y"},
             {"a": 1, "b": "x"},
@@ -77,22 +78,22 @@ class TestSortExec:
     def test_descending(self):
         rows = [{"a": i} for i in (2, 3, 1)]
         sort = SortExec(_Rows(rows), [SortKey(Column("a"), ascending=False)])
-        assert [r["a"] for r in sort.execute(_state())] == [3, 2, 1]
+        assert [r["a"] for r in sort.execute_batch(_state()).to_rows()] == [3, 2, 1]
 
     def test_nulls_first_ascending(self):
         rows = [{"a": 2}, {"a": None}, {"a": 1}]
         sort = SortExec(_Rows(rows), [SortKey(Column("a"))])
-        assert [r["a"] for r in sort.execute(_state())] == [None, 1, 2]
+        assert [r["a"] for r in sort.execute_batch(_state()).to_rows()] == [None, 1, 2]
 
 
 class TestLimitExec:
     def test_truncates(self):
         rows = [{"a": i} for i in range(10)]
-        assert len(LimitExec(_Rows(rows), 3).execute(_state())) == 3
+        assert len(LimitExec(_Rows(rows), 3).execute_batch(_state()).to_rows()) == 3
 
     def test_larger_than_input(self):
         rows = [{"a": 1}]
-        assert len(LimitExec(_Rows(rows), 99).execute(_state())) == 1
+        assert len(LimitExec(_Rows(rows), 99).execute_batch(_state()).to_rows()) == 1
 
 
 class TestAccumulator:

@@ -3,11 +3,12 @@
 The process pool (:mod:`repro.engine.procpool`) must be invisible in
 every observable output: identical rows (including order), identical
 count-valued metrics, identical cache/resilience accounting — at any
-worker count, on both execution modes, under deterministic fault
-injection, and across cancellation. These tests assert that strong
-form, plus the shared-memory lifecycle invariants (no segment survives
-completion, failure, cancellation or a worker crash; orphans of dead
-coordinators are reaped at startup).
+worker count, under deterministic fault injection, and across
+cancellation — and every backend's rows must equal the row-at-a-time
+reference evaluator's. These tests assert that strong form, plus the
+shared-memory lifecycle invariants (no segment survives completion,
+failure, cancellation or a worker crash; orphans of dead coordinators
+are reaped at startup).
 """
 
 import glob
@@ -18,6 +19,7 @@ import threading
 import time
 
 import pytest
+from reference import reference_rows
 
 from repro.engine import (
     CancelToken,
@@ -131,23 +133,19 @@ class TestProcessBackendParity:
     """Serial vs thread(4) vs process(2): rows, order and counters."""
 
     def test_plain_engine_differential(self, sales_session):
-        expected = {}
         sales_session.scan_workers = 1
-        for mode in ("batch", "row"):
-            for sql in QUERIES:
-                expected[(mode, sql)] = sales_session.sql(
-                    sql, execution_mode=mode
-                )
+        expected = {sql: sales_session.sql(sql) for sql in QUERIES}
+        for sql, want in expected.items():
+            assert want.rows == reference_rows(sales_session, sql), sql
         try:
             for backend, workers in (("thread", 4), ("process", WORKERS)):
                 sales_session.worker_backend = backend
                 sales_session.scan_workers = workers
-                for mode in ("batch", "row"):
-                    for sql in QUERIES:
-                        got = sales_session.sql(sql, execution_mode=mode)
-                        want = expected[(mode, sql)]
-                        assert got.rows == want.rows, (backend, mode, sql)
-                        assert_count_metric_parity(want, got, sql)
+                for sql in QUERIES:
+                    got = sales_session.sql(sql)
+                    want = expected[sql]
+                    assert got.rows == want.rows, (backend, sql)
+                    assert_count_metric_parity(want, got, sql)
         finally:
             sales_session.close_worker_pools()
         assert not glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*")
@@ -162,6 +160,7 @@ class TestProcessBackendParity:
                 t = threads.sql(sql)
                 p = procs.sql(sql)
                 assert s.rows == t.rows == p.rows, sql
+                assert s.rows == reference_rows(serial.session, sql), sql
                 assert_count_metric_parity(s, p, sql)
                 assert p.metrics.cache_hits > 0
             assert summary_view(serial) == summary_view(procs)
@@ -210,6 +209,9 @@ class TestFaultMatrixParity:
             assert (
                 system.resilience.snapshot() == serial.resilience.snapshot()
             ), key
+        assert serial_rows == [
+            reference_rows(serial.session, sql) for sql in MAXSON_QUERIES
+        ]
         return serial
 
     def test_all_cache_reads_corrupt(self):

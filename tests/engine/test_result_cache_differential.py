@@ -3,13 +3,15 @@
 The strongest correctness statement for the result cache is that it is
 invisible in the answers: an identical query stream against identical
 data returns bit-identical rows (values *and* order) whether results
-are served from cache or re-executed — across the row and batch
-execution paths, morsel parallelism, and deterministic fault profiles
-(where degraded answers are never admitted, so the cached stream can
-never go stale-by-fault either).
+are served from cache or re-executed — across morsel parallelism,
+Maxson's cached scans and deterministic fault profiles (where degraded
+answers are never admitted, so the cached stream can never go
+stale-by-fault either). Both streams must also equal the row-at-a-time
+reference evaluator's answers.
 """
 
 import pytest
+from reference import reference_rows
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
@@ -38,45 +40,30 @@ TRACE = [
 ]
 
 
-def run_trace(session: Session, mode: str) -> list:
+def run_trace(session: Session) -> list:
     out = []
     for _ in range(2):  # the second pass recurs entirely
         for sql in TRACE:
-            out.append(session.sql(sql, execution_mode=mode).rows)
+            out.append(session.sql(sql).rows)
     return out
 
 
 class TestSessionDifferential:
-    @pytest.mark.parametrize("mode", ["batch", "row"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_on_off_rows_identical(self, sales_session, mode, workers):
+    def test_on_off_rows_identical(self, sales_session, workers):
         sales_session.scan_workers = workers
-        baseline = run_trace(sales_session, mode)
+        baseline = run_trace(sales_session)
+        assert baseline == 2 * [reference_rows(sales_session, s) for s in TRACE]
         cached = Session(
             fs=sales_session.fs,
             catalog=sales_session.catalog,
             result_cache_enabled=True,
         )
         cached.scan_workers = workers
-        served = run_trace(cached, mode)
+        served = run_trace(cached)
         assert served == baseline  # values and order, every statement
         stats = cached.result_cache_stats()
         assert stats["hits"] > 0  # the cache actually served recurrences
-
-    def test_modes_share_entries(self, sales_session):
-        """Execution mode is absent from the key: a batch-produced
-        result serves the row-mode recurrence, identically."""
-        cached = Session(
-            fs=sales_session.fs,
-            catalog=sales_session.catalog,
-            result_cache_enabled=True,
-        )
-        sql = "select mall_id, date from mydb.T where date = '20190103'"
-        batch = cached.sql(sql, execution_mode="batch")
-        row = cached.sql(sql, execution_mode="row")
-        assert row.rows == batch.rows
-        assert row.metrics.extra.get("result_cache_hits") == 1
-        assert sales_session.sql(sql, execution_mode="row").rows == row.rows
 
 
 def build_system(fs=None, result_cache=False, scan_workers=1):
@@ -126,9 +113,11 @@ class TestMaxsonDifferential:
     def test_on_off_identical_through_cached_scans(self, workers):
         baseline = build_system(result_cache=False, scan_workers=workers)
         cached = build_system(result_cache=True, scan_workers=workers)
+        expected = [reference_rows(baseline.session, s) for s in MAXSON_TRACE]
         for _ in range(2):
-            for sql in MAXSON_TRACE:
-                assert cached.sql(sql).rows == baseline.sql(sql).rows, sql
+            for sql, want in zip(MAXSON_TRACE, expected):
+                got = cached.sql(sql).rows
+                assert got == baseline.sql(sql).rows == want, sql
         stats = cached.session.result_cache_stats()
         assert stats["hits"] > 0
 
@@ -154,6 +143,8 @@ class TestMaxsonDifferential:
             results[result_cache] = (rows, system)
         (baseline_rows, _), (cached_rows, cached) = results[False], results[True]
         assert cached_rows == baseline_rows
+        expected = [reference_rows(cached.session, s) for s in MAXSON_TRACE]
+        assert cached_rows == 2 * expected
         # degraded executions were excluded from admission...
         assert cached.resilience.snapshot()["fallback_splits"] > 0
         stats = cached.session.result_cache_stats()

@@ -3,11 +3,12 @@
 The span tree and :class:`~repro.engine.metrics.QueryMetrics` measure the
 same execution through two independent channels — per-operator counter
 deltas vs. the query-end fold. If they drift apart, one of them is lying;
-these tests pin them together on the row path, the batch path, and a
-degraded (cache-fallback) execution.
+these tests pin them together on a plain and a degraded (cache-fallback)
+execution.
 """
 
 import pytest
+from reference import reference_rows
 
 from repro.core import MaxsonSystem, cache_table_name
 from repro.engine import Session
@@ -65,15 +66,9 @@ def assert_reconciles(result):
 
 
 class TestEngineReconciliation:
-    def test_row_path(self, sales_session):
-        result = sales_session.sql(SQL, execution_mode="row", tracer=Tracer())
-        assert len(result.rows) == 80
-        assert_reconciles(result)
-        # Row path: every document parsed per extraction call.
-        assert result.metrics.shared_parse_hits == 0
-
     def test_batch_path(self, sales_session):
-        result = sales_session.sql(SQL, execution_mode="batch", tracer=Tracer())
+        result = sales_session.sql(SQL, tracer=Tracer())
+        assert result.rows == reference_rows(sales_session, SQL)
         assert len(result.rows) == 80
         assert_reconciles(result)
         top = top_operator(result.trace)
@@ -82,18 +77,6 @@ class TestEngineReconciliation:
         )
         # Parse-once sharing actually fired (two paths, one document).
         assert result.metrics.shared_parse_hits > 0
-
-    def test_row_and_batch_agree_on_physical_io(self, sales_session):
-        row = sales_session.sql(SQL, execution_mode="row", tracer=Tracer())
-        batch = sales_session.sql(SQL, execution_mode="batch", tracer=Tracer())
-        assert row.metrics.bytes_read == batch.metrics.bytes_read
-        row_scan = row.trace.find("scan")
-        batch_scan = batch.trace.find("scan")
-        assert row_scan.attributes["bytes_read"] == (
-            batch_scan.attributes["bytes_read"]
-        )
-        # Sharing shows up as fewer parses for identical results.
-        assert batch.metrics.parse_documents < row.metrics.parse_documents
 
     def test_scan_span_owns_the_read_time(self, sales_session):
         result = sales_session.sql(SQL, tracer=Tracer())

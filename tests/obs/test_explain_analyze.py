@@ -1,6 +1,6 @@
 """EXPLAIN ANALYZE: annotated plans from traced executions."""
 
-import re
+from reference import reference_rows
 
 from repro.obs import Tracer, render_explain_analyze
 
@@ -11,27 +11,16 @@ SQL = (
 )
 
 
-def shape_of(report: str) -> list[str]:
-    """Operator-tree lines with every measured value blanked out —
-    the structural fingerprint that must match across engines."""
-    out = []
-    for line in report.splitlines():
-        stripped = line.lstrip()
-        if stripped.startswith(("-> ", "+ ")) or "  [time=" in line:
-            out.append(re.sub(r"=[^ \]]+", "=_", line))
-    return out
-
-
 class TestSessionApi:
     def test_report_header_and_stages(self, sales_session):
         report = sales_session.explain_analyze(SQL)
-        assert report.startswith("EXPLAIN ANALYZE (mode=batch)")
+        assert report.splitlines()[0] == "EXPLAIN ANALYZE"
         assert "query: SELECT" in report
         for stage in ("total:", "plan:", "rewrite:", "execute:"):
             assert stage in report
 
     def test_operator_annotations_present(self, sales_session):
-        report = sales_session.explain_analyze(SQL, execution_mode="row")
+        report = sales_session.explain_analyze(SQL)
         scan_line = next(
             line for line in report.splitlines() if "scan" in line.lower()
         )
@@ -40,23 +29,10 @@ class TestSessionApi:
         assert "metrics: read=" in report
         assert "parse_fraction=" in report
 
-    def test_row_and_batch_identically_shaped(self, sales_session):
-        row = sales_session.explain_analyze(SQL, execution_mode="row")
-        batch = sales_session.explain_analyze(SQL, execution_mode="batch")
-        row_shape = [l.replace("mode=_", "") for l in shape_of(row)]
-        batch_shape = [l.replace("mode=_", "") for l in shape_of(batch)]
-        # Same operators, same nesting; only the measured values differ
-        # (batch-only sharing counters are blanked before comparing).
-        batch_only = r" ?(shared_parse_hits|dup_elim)=_"
-        assert [re.sub(batch_only, "", l) for l in row_shape] == [
-            re.sub(batch_only, "", l) for l in batch_shape
-        ]
-        assert len(row_shape) >= 2  # at least scan + project
-
     def test_results_unchanged_by_tracing(self, sales_session):
         plain = sales_session.sql(SQL)
         traced = sales_session.sql(SQL, tracer=Tracer())
-        assert traced.rows == plain.rows
+        assert traced.rows == plain.rows == reference_rows(sales_session, SQL)
         assert plain.trace is None
         assert traced.trace is not None
 

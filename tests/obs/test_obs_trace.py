@@ -132,9 +132,9 @@ class TestTraceSink:
 class TestSpanSerialisation:
     def test_to_dict_is_json_safe(self):
         tracer = Tracer(clock=make_clock())
-        with tracer.span("query", mode="batch") as span:
+        with tracer.span("query", tenant="t1") as span:
             pass
         payload = json.loads(json.dumps(span.to_dict()))
         assert payload["name"] == "query"
-        assert payload["attributes"]["mode"] == "batch"
+        assert payload["attributes"]["tenant"] == "t1"
         assert payload["wall_seconds"] > 0
